@@ -21,16 +21,37 @@
 //!   to compute and to keep patching for the rest of its life
 //!   ([`UpdateStats::repairs_picked_source`] /
 //!   [`UpdateStats::repairs_picked_target`] count which arm won).
-//! * **Coalesced row patching.** An edge change `(u, v)` can alter the k-hop
-//!   row of a cover vertex `w` only if `w` reaches `u` within `k − 1` hops
-//!   (any ≤ k-hop path through the edge spends one hop on it). One backward
-//!   `(k−1)`-BFS per update finds the affected cover vertices, but the rows
-//!   themselves are recomputed **once per batch**: affected positions are
-//!   collected into a deduplicated pending set, so overlapping patches from
-//!   different updates in the same batch collapse into one forward k-BFS per
-//!   row ([`UpdateStats::rows_coalesced`] counts the recomputations saved).
-//!   For removals the affected set is taken in the *pre-removal* graph,
-//!   because that is where paths used the edge.
+//! * **Row maintenance in three arms.** An edge change `(u, v)` can alter
+//!   the entry `(w, x)` of two cover vertices only through a path
+//!   `w ⇝ u → v ⇝ x` of length `a + 1 + b ≤ k`, where `a = d(w, u)` and
+//!   `b = d(v, x)`. A shortest path uses the edge at most once, so neither
+//!   `a` nor `b` depends on the edge itself: one backward `(k−1)`-hop
+//!   exploration from `u` and one forward `(k−1)`-hop exploration from `v`
+//!   give every affected pair, before or after the change.
+//!   - *Insert delta.* After an insert each affected row takes the min-plus
+//!     merge `d'(w, x) = min(d(w, x), a + 1 + b)` — exact, since any new
+//!     shorter path runs through the new edge
+//!     ([`UpdateStats::rows_merged`]).
+//!   - *Removal, per row.* An entry can change on removal only if it is
+//!     *tight* — `d(w, x) = a + 1 + b` in the pre-removal graph; a strictly
+//!     shorter entry has a shortest path that avoids the edge. Rows without
+//!     a tight entry are left alone. When the rows `R` holding tight entries
+//!     are no more than their distinct tight targets `T`, the rows join a
+//!     deduplicated pending set and are recomputed by one forward k-BFS each
+//!     **once per batch**, so overlapping removals in one batch collapse
+//!     ([`UpdateStats::rows_coalesced`] counts the row steps folded into an
+//!     already-pending recomputation).
+//!   - *Removal, per target.* Otherwise one backward k-hop exploration per
+//!     target `x ∈ T` on the post-removal graph re-derives just the tight
+//!     entries, rewriting or dropping each ([`UpdateStats::entries_repaired`]).
+//!     Either arm runs at most as many BFSs as recomputing every row
+//!     within reach of `u`.
+//!
+//!   Invariant: after every update of a batch, every row that is not
+//!   pending holds the exact distances for the current graph — which is
+//!   what makes the next update's tight test and delta merge sound. All
+//!   update-path BFS work reuses one epoch-stamped
+//!   [`NeighborhoodExplorer`], so none of it allocates or clears `O(n)`.
 //! * **Rebuild thresholds.** Incremental cover repair only ever grows the
 //!   cover, and deletions leave dead weight behind (a removed edge's
 //!   endpoints stay covered forever). When the cover has grown past a
@@ -54,7 +75,7 @@ use crate::index_graph::{row_any_dist_le, sorted_any_common, CoverIndexGraph};
 use crate::kreach::{BuildOptions, KReachIndex};
 use crate::vertex_cover::VertexCover;
 use crate::weights::PackedWeights;
-use kreach_graph::traversal::{bfs, khop_reachable_bidirectional, Direction};
+use kreach_graph::traversal::{khop_reachable_bidirectional, Direction, NeighborhoodExplorer};
 use kreach_graph::versioned::{EdgeUpdate, VersionedAdjGraph};
 use kreach_graph::{DiGraph, GraphView, VertexId};
 use std::collections::BTreeSet;
@@ -62,6 +83,66 @@ use std::time::Instant;
 
 /// Sentinel for "vertex is not in the cover".
 const NOT_COVERED: u32 = u32::MAX;
+
+/// Sentinel for "not reached" in the position-indexed distance scratch.
+const UNREACHED: u32 = u32::MAX;
+
+/// Update-path scratch, reused by every update so a row step costs what its
+/// explorations touch rather than `O(n)`.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Epoch-stamped bounded BFS shared by every exploration.
+    explorer: NeighborhoodExplorer,
+    /// Cover positions `w` within `k − 1` backward hops of the updated
+    /// edge's source `u`, with `a = d(w, u)`.
+    sources: Vec<(u32, u32)>,
+    /// Cover positions `x` within `k − 1` forward hops of the edge's target
+    /// `v`, with `b = d(v, x)`, in exploration (nondecreasing `b`) order.
+    targets: Vec<(u32, u32)>,
+    /// `b` by cover position for the entries of `targets`, else `UNREACHED`.
+    target_dist: Vec<u32>,
+    /// Distance by cover position from one per-target backward exploration.
+    source_dist: Vec<u32>,
+    /// Tight `(target, row)` pairs of a removal.
+    tight: Vec<(u32, u32)>,
+    /// Candidates missing from a row during an insert merge.
+    missing: Vec<(u32, u32)>,
+}
+
+/// Cover position of `v` in a vertex → position map, if covered.
+#[inline]
+fn cover_position(pos_of: &[u32], v: VertexId) -> Option<u32> {
+    match pos_of.get(v.index()) {
+        Some(&p) if p != NOT_COVERED => Some(p),
+        _ => None,
+    }
+}
+
+/// Whether probing `candidates` entries by binary search in a row of
+/// `row_len` entries is cheaper than one linear pass over the row.
+#[inline]
+fn probe_is_cheaper(candidates: usize, row_len: usize) -> bool {
+    candidates * (usize::BITS - row_len.leading_zeros()) as usize <= row_len
+}
+
+/// One forward k-hop exploration from `w`, keeping reached cover vertices
+/// (Algorithm 1, Lines 4–13) — the row of `w`, sorted by target position.
+fn forward_row(
+    explorer: &mut NeighborhoodExplorer,
+    graph: &VersionedAdjGraph,
+    pos_of: &[u32],
+    k: u32,
+    w: VertexId,
+) -> Vec<(u32, u32)> {
+    let mut row: Vec<(u32, u32)> = explorer
+        .explore(graph, w, k, Direction::Forward)
+        .iter()
+        .filter(|&&(v, _)| v != w)
+        .filter_map(|&(v, d)| cover_position(pos_of, v).map(|p| (p, d)))
+        .collect();
+    row.sort_unstable_by_key(|&(p, _)| p);
+    row
+}
 
 thread_local! {
     /// Scratch position lists for the query path: Case 4 needs the out- and
@@ -112,9 +193,14 @@ pub struct UpdateStats {
     pub noops: u64,
     /// Index rows recomputed by a forward k-BFS.
     pub rows_patched: u64,
-    /// Row recomputations *avoided* because several updates in one batch
-    /// affected the same cover row (deduplicated before recomputation).
+    /// Row steps *avoided* because the row an update reached was already
+    /// pending its once-per-batch recomputation (the update folds into it).
     pub rows_coalesced: u64,
+    /// Rows changed in place by an insert's min-plus delta merge.
+    pub rows_merged: u64,
+    /// Tight entries re-derived by the per-target removal arm (rewritten or
+    /// dropped from one backward k-hop exploration per distinct target).
+    pub entries_repaired: u64,
     /// Vertices added to the cover by incremental repair.
     pub cover_additions: u64,
     /// Cover repairs that picked the inserted edge's *source* endpoint (its
@@ -126,8 +212,9 @@ pub struct UpdateStats {
     /// Lazy full rebuilds (fresh cover + BFS sweep) triggered by cover
     /// growth or by the deletion threshold.
     pub full_rebuilds: u64,
-    /// Nanoseconds spent recomputing rows at batch end (the coalesced
-    /// pending-set drain of [`DynamicKReach::apply_all`]).
+    /// Nanoseconds spent maintaining rows in all three arms: insert delta
+    /// merges, removal tight tests and per-target repairs, and the batch-end
+    /// pending-set drain of [`DynamicKReach::apply_all`].
     pub patch_nanos: u64,
     /// Nanoseconds spent on incremental cover repairs (forward row compute
     /// plus the backward splice of [`UpdateStats::cover_additions`]).
@@ -150,6 +237,8 @@ impl UpdateStats {
             noops: self.noops - earlier.noops,
             rows_patched: self.rows_patched - earlier.rows_patched,
             rows_coalesced: self.rows_coalesced - earlier.rows_coalesced,
+            rows_merged: self.rows_merged - earlier.rows_merged,
+            entries_repaired: self.entries_repaired - earlier.entries_repaired,
             cover_additions: self.cover_additions - earlier.cover_additions,
             repairs_picked_source: self.repairs_picked_source - earlier.repairs_picked_source,
             repairs_picked_target: self.repairs_picked_target - earlier.repairs_picked_target,
@@ -168,6 +257,8 @@ impl UpdateStats {
         self.noops += delta.noops;
         self.rows_patched += delta.rows_patched;
         self.rows_coalesced += delta.rows_coalesced;
+        self.rows_merged += delta.rows_merged;
+        self.entries_repaired += delta.entries_repaired;
         self.cover_additions += delta.cover_additions;
         self.repairs_picked_source += delta.repairs_picked_source;
         self.repairs_picked_target += delta.repairs_picked_target;
@@ -202,6 +293,7 @@ pub struct DynamicKReach {
     edges_at_rebuild: usize,
     removals_since_rebuild: usize,
     stats: UpdateStats,
+    scratch: Scratch,
 }
 
 impl DynamicKReach {
@@ -230,6 +322,7 @@ impl DynamicKReach {
             edges_at_rebuild: 0,
             removals_since_rebuild: 0,
             stats: UpdateStats::default(),
+            scratch: Scratch::default(),
         };
         this.rebuild();
         this.stats = UpdateStats::default(); // the initial build is not a rebuild
@@ -310,6 +403,7 @@ impl DynamicKReach {
             edges_at_rebuild,
             removals_since_rebuild: 0,
             stats: UpdateStats::default(),
+            scratch: Scratch::default(),
         })
     }
 
@@ -359,10 +453,7 @@ impl DynamicKReach {
 
     #[inline]
     fn position(&self, v: VertexId) -> Option<u32> {
-        match self.pos_of.get(v.index()) {
-            Some(&p) if p != NOT_COVERED => Some(p),
-            _ => None,
-        }
+        cover_position(&self.pos_of, v)
     }
 
     /// True distance of the index edge between cover positions, if any
@@ -479,10 +570,11 @@ impl DynamicKReach {
         self.apply_all(&[EdgeUpdate::Remove(u, v)]).removes == 1
     }
 
-    /// Applies a batch of updates in order. Graph mutations and cover
-    /// repairs happen immediately; affected cover rows are collected into a
+    /// Applies a batch of updates in order. Graph mutations, cover repairs,
+    /// insert deltas and per-target removal repairs happen immediately; rows
+    /// a removal sends down the per-row arm are collected into a
     /// deduplicated pending set and recomputed **once** at the end of the
-    /// batch, so overlapping row patches coalesce. Returns the counter
+    /// batch, so overlapping recomputations coalesce. Returns the counter
     /// deltas for this call.
     pub fn apply_all(&mut self, updates: &[EdgeUpdate]) -> UpdateStats {
         let before = self.stats;
@@ -493,7 +585,8 @@ impl DynamicKReach {
         if !pending.is_empty() {
             let started = Instant::now();
             for p in pending {
-                self.rows[p as usize] = self.compute_row(self.members[p as usize]);
+                let w = self.members[p as usize];
+                self.rows[p as usize] = self.compute_row(w);
                 self.stats.rows_patched += 1;
             }
             self.stats.patch_nanos += started.elapsed().as_nanos() as u64;
@@ -502,8 +595,9 @@ impl DynamicKReach {
     }
 
     /// Applies one update to the graph, repairs the cover if needed, and
-    /// schedules the affected rows. A rebuild (threshold hit) recomputes
-    /// everything, so it drains the pending set.
+    /// maintains the rows it can touch. Keeps the invariant that every row
+    /// not in `pending` is exact for the graph after this update. A rebuild
+    /// (threshold hit) recomputes everything, so it drains the pending set.
     fn apply_one(&mut self, update: EdgeUpdate, pending: &mut BTreeSet<u32>) {
         match update {
             EdgeUpdate::Insert(u, v) => {
@@ -518,8 +612,10 @@ impl DynamicKReach {
                 // Cover repair: the new edge must have a covered endpoint.
                 // Either endpoint restores the invariant, so pick the one
                 // whose forward k-BFS row is cheaper to compute and maintain:
-                // the smaller out-degree (ties go to the source).
-                let repaired = if !self.in_cover(u) && !self.in_cover(v) {
+                // the smaller out-degree (ties go to the source). The new
+                // member's row and column are computed on the post-insert
+                // graph, so the delta below leaves them as they are.
+                if !self.in_cover(u) && !self.in_cover(v) {
                     let w = if self.graph.out_degree(u) <= self.graph.out_degree(v) {
                         self.stats.repairs_picked_source += 1;
                         u
@@ -527,27 +623,38 @@ impl DynamicKReach {
                         self.stats.repairs_picked_target += 1;
                         v
                     };
-                    Some(self.add_to_cover(w))
-                } else {
-                    None
-                };
-                // The freshly repaired row was computed post-insert already;
-                // skip it instead of scheduling a redundant recomputation.
-                self.schedule_affected(u, repaired, pending);
+                    self.add_to_cover(w);
+                }
                 if self.maybe_rebuild() {
                     pending.clear();
+                    return;
                 }
+                let started = Instant::now();
+                self.explore_edge(u, v);
+                self.merge_insert_delta(pending);
+                self.stats.patch_nanos += started.elapsed().as_nanos() as u64;
             }
             EdgeUpdate::Remove(u, v) => {
-                // Affected rows are found in the PRE-removal graph: only
-                // paths that existed there can have used the edge.
                 if !self.graph.has_edge(u, v) {
                     self.stats.noops += 1;
                     return;
                 }
-                self.schedule_affected(u, None, pending);
+                // Tight entries are found in the PRE-removal graph, where
+                // the rows are exact; the explored distances d(w, u) and
+                // d(v, x) are the same on either side of the removal.
+                let started = Instant::now();
+                self.explore_edge(u, v);
+                let (rows, targets) = self.collect_tight(pending);
                 let removed = self.graph.remove_edge(u, v);
                 debug_assert!(removed);
+                if rows <= targets {
+                    for &(_, w) in &self.scratch.tight {
+                        pending.insert(w);
+                    }
+                } else {
+                    self.repair_tight_targets();
+                }
+                self.stats.patch_nanos += started.elapsed().as_nanos() as u64;
                 self.stats.removes += 1;
                 self.removals_since_rebuild += 1;
                 if self.maybe_rebuild() {
@@ -557,56 +664,231 @@ impl DynamicKReach {
         }
     }
 
-    /// Schedules recomputation of every cover row an edge update out of `u`
-    /// can have changed: exactly the cover vertices within `k − 1` backward
-    /// hops of `u` (paths through the edge spend one hop on it), plus `u`
-    /// itself when covered. A row at position `skip` (just computed on the
-    /// current graph) is left alone. Already-pending rows count as coalesced.
-    fn schedule_affected(&mut self, u: VertexId, skip: Option<u32>, pending: &mut BTreeSet<u32>) {
-        if u.index() >= self.graph.vertex_count() {
-            return;
+    /// Explores around the updated edge `(u, v)`: the cover positions within
+    /// `k − 1` backward hops of `u` into `scratch.sources` and those within
+    /// `k − 1` forward hops of `v` into `scratch.targets` / `target_dist`.
+    fn explore_edge(&mut self, u: VertexId, v: VertexId) {
+        let Self {
+            k,
+            graph,
+            members,
+            pos_of,
+            scratch: s,
+            ..
+        } = self;
+        let hops = *k - 1;
+        s.sources.clear();
+        for &(w, a) in s.explorer.explore(graph, u, hops, Direction::Backward) {
+            if let Some(p) = cover_position(pos_of, w) {
+                s.sources.push((p, a));
+            }
         }
-        let reach = bfs(&self.graph, u, Direction::Backward, Some(self.k - 1));
-        for (w, _) in reach.reached_with_distance() {
-            if let Some(p) = self.position(w) {
-                if Some(p) != skip && !pending.insert(p) {
-                    self.stats.rows_coalesced += 1;
-                }
+        // Clear the previous update's marks before refilling. `target_dist`
+        // only grows, so positions left over from before a rebuild stay in
+        // range.
+        for &(x, _) in &s.targets {
+            s.target_dist[x as usize] = UNREACHED;
+        }
+        s.target_dist
+            .resize(s.target_dist.len().max(members.len()), UNREACHED);
+        s.targets.clear();
+        for &(x, b) in s.explorer.explore(graph, v, hops, Direction::Forward) {
+            if let Some(p) = cover_position(pos_of, x) {
+                s.targets.push((p, b));
+                s.target_dist[p as usize] = b;
             }
         }
     }
 
-    /// One forward k-hop BFS from `w`, keeping reached cover vertices
-    /// (Algorithm 1, Lines 4–13) — the row of `w`, sorted by target position.
-    fn compute_row(&self, w: VertexId) -> Vec<(u32, u32)> {
-        let reach = bfs(&self.graph, w, Direction::Forward, Some(self.k));
-        let mut row: Vec<(u32, u32)> = reach
-            .reached_with_distance()
-            .filter(|&(v, _)| v != w)
-            .filter_map(|(v, d)| self.position(v).map(|p| (p, d)))
-            .collect();
-        row.sort_unstable_by_key(|&(p, _)| p);
-        row
+    /// The min-plus delta of an insert: every explored row `w` that is not
+    /// pending takes `min(d(w, x), a + 1 + b)` for each explored target `x`
+    /// within the hop budget.
+    fn merge_insert_delta(&mut self, pending: &BTreeSet<u32>) {
+        let Self {
+            k,
+            rows,
+            scratch: s,
+            stats,
+            ..
+        } = self;
+        for &(w, a) in &s.sources {
+            if pending.contains(&w) {
+                stats.rows_coalesced += 1;
+                continue;
+            }
+            let budget = *k - 1 - a;
+            let end = s.targets.partition_point(|&(_, b)| b <= budget);
+            let row = &mut rows[w as usize];
+            let mut changed = false;
+            s.missing.clear();
+            for &(x, b) in &s.targets[..end] {
+                if x == w {
+                    continue;
+                }
+                let d = a + 1 + b;
+                match row.binary_search_by_key(&x, |&(p, _)| p) {
+                    Ok(i) if d < row[i].1 => {
+                        row[i].1 = d;
+                        changed = true;
+                    }
+                    Ok(_) => {}
+                    Err(_) => s.missing.push((x, d)),
+                }
+            }
+            if !s.missing.is_empty() {
+                // Merge the new entries in from the back of the grown row,
+                // so no second buffer is needed.
+                s.missing.sort_unstable_by_key(|&(p, _)| p);
+                let (mut i, mut j) = (row.len(), s.missing.len());
+                row.reserve_exact(j);
+                row.resize(i + j, (0, 0));
+                while j > 0 {
+                    let out = i + j - 1;
+                    if i > 0 && row[i - 1].0 > s.missing[j - 1].0 {
+                        i -= 1;
+                        row[out] = row[i];
+                    } else {
+                        j -= 1;
+                        row[out] = s.missing[j];
+                    }
+                }
+                changed = true;
+            }
+            stats.rows_merged += u64::from(changed);
+        }
     }
 
-    /// Appends `w` to the cover: computes its row with one forward k-BFS and
-    /// splices `w` into every row that reaches it with one backward k-BFS.
-    /// Rows stay sorted because the new position is the largest so far.
-    /// Returns the new cover position.
-    fn add_to_cover(&mut self, w: VertexId) -> u32 {
+    /// Collects the tight `(target, row)` pairs of a removal — entries with
+    /// `d(w, x) = a + 1 + b`, the only ones whose shortest path can use the
+    /// edge — sorted by target. Returns the number of distinct rows and of
+    /// distinct targets among them.
+    fn collect_tight(&mut self, pending: &BTreeSet<u32>) -> (usize, usize) {
+        let Self {
+            k,
+            rows,
+            scratch: s,
+            stats,
+            ..
+        } = self;
+        s.tight.clear();
+        let mut tight_rows = 0;
+        for &(w, a) in &s.sources {
+            if pending.contains(&w) {
+                stats.rows_coalesced += 1;
+                continue;
+            }
+            let budget = *k - 1 - a;
+            let end = s.targets.partition_point(|&(_, b)| b <= budget);
+            let row = &rows[w as usize];
+            let before = s.tight.len();
+            if probe_is_cheaper(end, row.len()) {
+                // The row never stores w itself, so x == w finds nothing.
+                for &(x, b) in &s.targets[..end] {
+                    if let Ok(i) = row.binary_search_by_key(&x, |&(p, _)| p) {
+                        if row[i].1 == a + 1 + b {
+                            s.tight.push((x, w));
+                        }
+                    }
+                }
+            } else {
+                for &(x, d) in row {
+                    let b = s.target_dist[x as usize];
+                    if b <= budget && d == a + 1 + b {
+                        s.tight.push((x, w));
+                    }
+                }
+            }
+            tight_rows += usize::from(s.tight.len() > before);
+        }
+        s.tight.sort_unstable();
+        (tight_rows, s.tight.chunk_by(|a, b| a.0 == b.0).count())
+    }
+
+    /// The per-target removal arm, run on the post-removal graph: one
+    /// backward k-hop exploration per distinct tight target `x` gives the
+    /// new `d(w, x)` of every tight row `w`, which is rewritten in place or
+    /// dropped when `x` fell out of reach.
+    fn repair_tight_targets(&mut self) {
+        let Self {
+            k,
+            graph,
+            members,
+            pos_of,
+            rows,
+            scratch: s,
+            stats,
+            ..
+        } = self;
+        s.source_dist
+            .resize(s.source_dist.len().max(members.len()), UNREACHED);
+        for group in s.tight.chunk_by(|a, b| a.0 == b.0) {
+            let x = group[0].0;
+            let reach = s
+                .explorer
+                .explore(graph, members[x as usize], *k, Direction::Backward);
+            for &(w, d) in reach {
+                if let Some(p) = cover_position(pos_of, w) {
+                    s.source_dist[p as usize] = d;
+                }
+            }
+            for &(_, w) in group {
+                let row = &mut rows[w as usize];
+                let i = row
+                    .binary_search_by_key(&x, |&(p, _)| p)
+                    .expect("a tight entry is stored in its row");
+                match s.source_dist[w as usize] {
+                    UNREACHED => {
+                        row.remove(i);
+                    }
+                    d => row[i].1 = d,
+                }
+            }
+            for &(w, _) in reach {
+                if let Some(p) = cover_position(pos_of, w) {
+                    s.source_dist[p as usize] = UNREACHED;
+                }
+            }
+            stats.entries_repaired += group.len() as u64;
+        }
+    }
+
+    /// One forward k-hop exploration from `w` — its row over the current
+    /// cover, sorted by target position.
+    fn compute_row(&mut self, w: VertexId) -> Vec<(u32, u32)> {
+        forward_row(
+            &mut self.scratch.explorer,
+            &self.graph,
+            &self.pos_of,
+            self.k,
+            w,
+        )
+    }
+
+    /// Appends `w` to the cover: computes its row with one forward k-hop
+    /// exploration and splices `w` into every row that reaches it with one
+    /// backward k-hop exploration. Rows stay sorted because the new position
+    /// is the largest so far.
+    fn add_to_cover(&mut self, w: VertexId) {
         debug_assert!(!self.in_cover(w));
         let started = Instant::now();
         let p = self.members.len() as u32;
         self.members.push(w);
         self.pos_of[w.index()] = p;
         // Existing cover vertices that reach w gain the edge (them → w).
-        let back = bfs(&self.graph, w, Direction::Backward, Some(self.k));
-        for (x, d) in back.reached_with_distance() {
+        let Self {
+            k,
+            graph,
+            pos_of,
+            rows,
+            scratch,
+            ..
+        } = self;
+        for &(x, d) in scratch.explorer.explore(graph, w, *k, Direction::Backward) {
             if x == w {
                 continue;
             }
-            if let Some(px) = self.position(x) {
-                self.rows[px as usize].push((p, d));
+            if let Some(px) = cover_position(pos_of, x) {
+                rows[px as usize].push((p, d));
             }
         }
         let row = self.compute_row(w);
@@ -614,7 +896,6 @@ impl DynamicKReach {
         self.stats.cover_additions += 1;
         self.stats.rows_patched += 1;
         self.stats.repair_nanos += started.elapsed().as_nanos() as u64;
-        p
     }
 
     /// Lazily re-covers once incremental repair has grown the cover past the
@@ -647,7 +928,23 @@ impl DynamicKReach {
         for (p, &v) in self.members.iter().enumerate() {
             self.pos_of[v.index()] = p as u32;
         }
-        self.rows = self.members.iter().map(|&w| self.compute_row(w)).collect();
+        let Self {
+            k,
+            graph,
+            members,
+            pos_of,
+            rows,
+            scratch,
+            ..
+        } = self;
+        // Old rows go before new ones are built, so a re-cover never holds
+        // two copies of the index.
+        rows.clear();
+        rows.extend(
+            members
+                .iter()
+                .map(|&w| forward_row(&mut scratch.explorer, graph, pos_of, *k, w)),
+        );
         self.cover_at_rebuild = self.members.len();
         self.edges_at_rebuild = self.graph.edge_count();
         self.removals_since_rebuild = 0;
@@ -878,14 +1175,17 @@ mod tests {
 
     #[test]
     fn batch_apply_coalesces_overlapping_row_patches() {
-        // A hub graph where every update lands in the same k-neighbourhood:
-        // applying the updates one per batch patches rows repeatedly, while
-        // one big batch dedupes the affected set.
-        let n = 16u32;
-        let edges: Vec<(u32, u32)> = (1..n).map(|i| (0, i)).collect();
-        let g = DiGraph::from_edges(n as usize, edges);
-        let script: Vec<EdgeUpdate> = (1..8u32)
-            .map(|i| EdgeUpdate::Insert(VertexId(i), VertexId(i + 8)))
+        // A hub 0 with in-edges from 1..=8 and out-edges to 9..=16, each of
+        // which reaches the sink 17. The cover is {0, 17}, and the hub's row
+        // holds d(0, 17) = 2 through every spoke. Removing a spoke (0, j)
+        // makes that entry tight in one row for one target, so the per-row
+        // arm recomputes the hub's row: once per update one by one, once in
+        // total when the removals share a batch.
+        let mut edges: Vec<(u32, u32)> = (1..=8).map(|i| (i, 0)).collect();
+        edges.extend((9..=16).flat_map(|j| [(0, j), (j, 17)]));
+        let g = DiGraph::from_edges(18, edges);
+        let script: Vec<EdgeUpdate> = (9..16u32)
+            .map(|j| EdgeUpdate::Remove(VertexId(0), VertexId(j)))
             .collect();
 
         let mut one_by_one = DynamicKReach::new(g.clone(), 3, DynamicOptions::default());
@@ -895,14 +1195,16 @@ mod tests {
         let mut batched = DynamicKReach::new(g, 3, DynamicOptions::default());
         let delta = batched.apply_all(&script);
 
-        assert_eq!(delta.inserts, 7);
+        assert_eq!(delta.removes, 7);
+        assert_eq!(delta.full_rebuilds, 0, "{delta:?}");
+        assert_eq!(delta.entries_repaired, 0, "per-row arm only: {delta:?}");
         assert!(
             delta.rows_coalesced > 0,
-            "overlapping patches must coalesce: {delta:?}"
+            "overlapping recomputations must coalesce: {delta:?}"
         );
         assert!(
             batched.stats().rows_patched < one_by_one.stats().rows_patched,
-            "batching must patch fewer rows ({} vs {})",
+            "batching must recompute fewer rows ({} vs {})",
             batched.stats().rows_patched,
             one_by_one.stats().rows_patched
         );

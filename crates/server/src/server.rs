@@ -1334,12 +1334,22 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
     );
     text.counter(
         "kreach_update_rows_patched_total",
-        "Index rows patched in place by updates.",
+        "Index rows recomputed by a forward k-BFS.",
         updates.rows_patched,
     );
     text.counter(
+        "kreach_update_rows_merged_total",
+        "Index rows changed in place by insert deltas.",
+        updates.rows_merged,
+    );
+    text.counter(
+        "kreach_update_entries_repaired_total",
+        "Tight index entries re-derived by per-target removal repairs.",
+        updates.entries_repaired,
+    );
+    text.counter(
         "kreach_update_rows_coalesced_total",
-        "Pending row patches coalesced before application.",
+        "Row steps folded into an already-pending row recomputation.",
         updates.rows_coalesced,
     );
     text.counter(

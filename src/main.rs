@@ -664,18 +664,22 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
     } else {
         0.0
     };
-    // Per-update maintenance cost: the headline number for the versioned
-    // storage path (independent of |E|, unlike the old snapshot-per-update).
+    // Forward k-BFS row recomputations per applied update: a timing-free
+    // measure of maintenance work (insert deltas and per-target removal
+    // repairs recompute no row).
     let rows_per_update = stats.rows_patched as f64 / stats.applied().max(1) as f64;
     let summary = format!(
         "dynamic-k-reach · {total_queries} queries · {mutations} mutations \
          ({} applied, {} noops) in {elapsed:.3}s · {updates_per_sec:.0} updates/s · \
          {rows_per_update:.2} rows patched/update ({} total, {} coalesced) · \
+         {} rows merged · {} entries repaired · \
          cache {cache_hits}/{} hits · {} cover additions · {} rebuilds · epoch {}",
         stats.applied(),
         stats.noops,
         stats.rows_patched,
         stats.rows_coalesced,
+        stats.rows_merged,
+        stats.entries_repaired,
         cache_hits + cache_misses,
         stats.cover_additions,
         stats.full_rebuilds,
@@ -688,6 +692,7 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
             concat!(
                 "{{\"queries\":{},\"mutations\":{},\"applied\":{},\"noops\":{},",
                 "\"rows_patched\":{},\"rows_coalesced\":{},\"rows_per_update\":{:.3},",
+                "\"rows_merged\":{},\"entries_repaired\":{},",
                 "\"cover_additions\":{},\"full_rebuilds\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"epoch\":{},",
                 "\"elapsed_secs\":{:.6},\"query_secs\":{:.6},\"update_secs\":{:.6},",
@@ -700,6 +705,8 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
             stats.rows_patched,
             stats.rows_coalesced,
             rows_per_update,
+            stats.rows_merged,
+            stats.entries_repaired,
             stats.cover_additions,
             stats.full_rebuilds,
             cache_hits,
@@ -1489,6 +1496,8 @@ mod tests {
             "\"epoch\":2",
             "\"rows_per_update\":",
             "\"rows_coalesced\":",
+            "\"rows_merged\":",
+            "\"entries_repaired\":",
             "\"updates_per_sec\":",
         ] {
             assert!(stats.contains(needle), "missing {needle} in {stats}");

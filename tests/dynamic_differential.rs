@@ -8,12 +8,14 @@
 //! result-cache lookup after a mutation must never serve a pre-mutation
 //! answer.
 //!
-//! Three layers of checking:
+//! Five layers of checking:
 //!
 //! 1. [`differential_replay`] — the core harness: replay a seeded random
 //!    mutation sequence, asserting (a) the maintained graph's edge set is
-//!    exactly the oracle edge set, and (b) incremental == rebuilt == BFS on
-//!    a query sample after every step.
+//!    exactly the oracle edge set, (b) every maintained row equals a fresh
+//!    forward k-BFS row, and (c) incremental == rebuilt == BFS on a query
+//!    sample after every step. A hub-skewed shape additionally proves that
+//!    every row-maintenance arm fired.
 //! 2. Engine-level replays — the same discipline through [`BatchEngine`]
 //!    with a warm sharded LRU cache at 1 and 8 workers, which is what proves
 //!    epoch invalidation (stale cached answers would differ from BFS).
@@ -30,14 +32,14 @@
 //! 5. A `#[ignore]`d soak variant with a larger step count (tunable via
 //!    `KREACH_SOAK_STEPS`) for the scheduled long-sequence CI job.
 
-use kreach_core::dynamic::{DynamicKReach, DynamicOptions};
+use kreach_core::dynamic::{DynamicKReach, DynamicOptions, UpdateStats};
 use kreach_core::{BuildOptions, KReachIndex};
 use kreach_engine::{
     BatchEngine, DynamicKReachBackend, EngineConfig, KReachBackend, Query, QueryBatch,
 };
 use kreach_graph::dynamic::EdgeUpdate;
 use kreach_graph::generators::GeneratorSpec;
-use kreach_graph::traversal::khop_reachable_bfs;
+use kreach_graph::traversal::{bfs, khop_reachable_bfs, Direction};
 use kreach_graph::{DiGraph, GraphView, VersionedAdjGraph, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -68,6 +70,45 @@ fn shapes() -> [(GeneratorSpec, u32); 3] {
             5,
         ),
     ]
+}
+
+/// The hub-skewed shape: one dominant hub (vertex 0) with in- and
+/// out-edges to most other vertices, far above the average degree — the
+/// shape where removals split between the per-row and per-target arms.
+fn hub_shape() -> (GeneratorSpec, u32) {
+    (
+        GeneratorSpec::HubForest {
+            n: 32,
+            m: 100,
+            hubs: 1,
+        },
+        3,
+    )
+}
+
+/// Asserts every maintained row equals a fresh forward k-BFS row over the
+/// live graph, target positions mapped through the cover members. Row
+/// distances are checked, not just k-hop answers, which can hide an entry
+/// that is off by one.
+fn assert_rows_exact(dynk: &DynamicKReach, step: usize) {
+    let (members, rows) = dynk.raw_state();
+    let g = dynk.graph();
+    let mut position = vec![None; g.vertex_count()];
+    for (p, &w) in members.iter().enumerate() {
+        position[w.index()] = Some(p as u32);
+    }
+    for (p, &w) in members.iter().enumerate() {
+        let mut fresh: Vec<(u32, u32)> = bfs(g, w, Direction::Forward, Some(dynk.k()))
+            .reached_with_distance()
+            .filter(|&(x, _)| x != w)
+            .filter_map(|(x, d)| position[x.index()].map(|px| (px, d)))
+            .collect();
+        fresh.sort_unstable();
+        assert_eq!(
+            rows[p], fresh,
+            "step {step}: row of cover vertex {w} (position {p})"
+        );
+    }
 }
 
 /// Oracle state: the plain edge set the incremental index must agree with.
@@ -150,9 +191,11 @@ fn sample_pairs(rng: &mut StdRng, n: usize, count: usize) -> Vec<(VertexId, Vert
 }
 
 /// The core differential harness: replay `steps` random mutations over the
-/// shape's generated graph, asserting after every step that the incremental
-/// index, a from-scratch rebuild, and online BFS agree on `sample` random
-/// query pairs (plus, every `exhaustive_every` steps, on *all* pairs).
+/// shape's generated graph, asserting after every step that every
+/// maintained row holds exact distances and that the incremental index, a
+/// from-scratch rebuild, and online BFS agree on `sample` random query pairs
+/// (plus, every `exhaustive_every` steps, on *all* pairs). Returns the
+/// maintainer's counters.
 fn differential_replay(
     shape: GeneratorSpec,
     k: u32,
@@ -160,7 +203,7 @@ fn differential_replay(
     steps: usize,
     sample: usize,
     exhaustive_every: usize,
-) {
+) -> UpdateStats {
     let g0 = shape.generate(seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
     let mut oracle = Oracle::of(&g0);
@@ -185,6 +228,8 @@ fn differential_replay(
             oracle_graph.edges().collect::<Vec<_>>(),
             "step {step}: edge sets diverged"
         );
+
+        assert_rows_exact(&dynk, step);
 
         // Answer agreement: incremental == from-scratch rebuild == BFS.
         let rebuilt = KReachIndex::build(&oracle_graph, k, BuildOptions::default());
@@ -217,12 +262,66 @@ fn differential_replay(
     let stats = dynk.stats();
     assert!(stats.inserts > 0 && stats.removes > 0 && stats.noops > 0);
     assert!(stats.rows_patched > 0);
+    stats
 }
 
 #[test]
 fn differential_replay_over_three_shapes() {
     for (i, (shape, k)) in shapes().into_iter().enumerate() {
         differential_replay(shape, k, 1000 + i as u64, 110, 30, 25);
+    }
+}
+
+/// Through a dominant hub, every row-maintenance arm fires: insert deltas,
+/// per-row removal recomputations (forward k-BFS rows beyond the one each
+/// cover repair computes), and per-target removal repairs.
+#[test]
+fn differential_replay_over_a_hub_skewed_shape_fires_every_arm() {
+    let (shape, k) = hub_shape();
+    let stats = differential_replay(shape, k, 1_003, 110, 30, 25);
+    assert!(stats.rows_merged > 0, "insert delta never fired: {stats:?}");
+    assert!(
+        stats.rows_patched > stats.cover_additions,
+        "per-row removal arm never fired: {stats:?}"
+    );
+    assert!(
+        stats.entries_repaired > 0,
+        "per-target removal arm never fired: {stats:?}"
+    );
+}
+
+/// Multi-update batches: rows sent down the per-row removal arm stay
+/// pending until the batch ends, and later updates of the same batch must
+/// skip them without disturbing the exact rows around them.
+#[test]
+fn batched_replay_keeps_every_row_exact() {
+    for (i, (shape, k)) in shapes().into_iter().chain([hub_shape()]).enumerate() {
+        let seed = 3_000 + i as u64;
+        let g0 = shape.generate(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
+        let mut oracle = Oracle::of(&g0);
+        let mut dynk = DynamicKReach::new(g0, k, DynamicOptions::default());
+        let mut coalesced = 0;
+        for step in 0..40 {
+            let batch: Vec<EdgeUpdate> = (0..rng.gen_range(2usize..8))
+                .map(|_| {
+                    let update = random_update(&mut rng, &oracle);
+                    oracle.apply(update);
+                    update
+                })
+                .collect();
+            coalesced += dynk.apply_all(&batch).rows_coalesced;
+            assert_rows_exact(&dynk, step);
+            let oracle_graph = oracle.graph();
+            for (s, t) in sample_pairs(&mut rng, oracle.n, 30) {
+                assert_eq!(
+                    dynk.query(s, t),
+                    khop_reachable_bfs(&oracle_graph, s, t, k),
+                    "step {step}: k={k} ({s},{t})"
+                );
+            }
+        }
+        assert!(coalesced > 0, "{shape:?}: no batch coalesced a row");
     }
 }
 
@@ -236,7 +335,7 @@ fn differential_soak_long_sequences() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(400);
-    for (i, (shape, k)) in shapes().into_iter().enumerate() {
+    for (i, (shape, k)) in shapes().into_iter().chain([hub_shape()]).enumerate() {
         for seed in 0..3u64 {
             differential_replay(shape, k, 7_000 + 31 * i as u64 + seed, steps, 40, 50);
         }

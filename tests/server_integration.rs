@@ -175,6 +175,13 @@ fn concurrent_clients_mutations_and_admission_control() {
     // ---- (c) Exhaust the in-flight budget (6) with the probe connection
     // plus five half-request holders: a fresh connection is shed with 503,
     // while the already-admitted probe connection keeps being answered.
+    // Phase (b)'s clients have hung up, but the server may not have
+    // released their slots yet; a slot still held would shed a holder.
+    wait_for(
+        &server,
+        "phase (b) connections released",
+        |_admitted, active| active <= 1,
+    );
     let mut holders: Vec<TcpStream> = Vec::new();
     for _ in 0..5 {
         let mut holder = TcpStream::connect(addr).unwrap();
